@@ -18,7 +18,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":6379", "listen address")
-	threads := flag.Int("threads", 8, "module threadpool size (queries run one per worker)")
+	threads := flag.Int("threads", 8, "THREAD_COUNT: GRAPH.* commands executing at once")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (0 = none)")
 	batch := flag.Int("batch", 0, "pipeline batch size (0 = engine default; 1 = tuple-at-a-time)")
 	kernel := flag.String("kernel", "auto", "traversal kernel direction: auto | push | pull")

@@ -1,8 +1,9 @@
-// Package pool implements the RedisGraph module threadpool: a fixed number
-// of workers created at module-load time. The Redis main thread receives
-// each query and enqueues it here; every query executes on exactly one
-// worker, which is the architecture Section II of the paper argues enables
-// high concurrent throughput at low per-query latency.
+// Package pool implements the engine's concurrency primitives: the
+// work-stealing morsel pool that runs intra-query parallel work, the
+// admission gate, and Pool, a fixed-size task pool modelling the paper's
+// module threadpool (Section II), where every query executes on exactly one
+// worker. The throughput experiment drives Pool in-process; the server
+// bounds its GRAPH.* commands to THREAD_COUNT at a time instead.
 package pool
 
 import (
@@ -24,17 +25,6 @@ type Future struct {
 func (f *Future) Wait() (any, error) {
 	<-f.done
 	return f.val, f.err
-}
-
-// NewResolvedFuture returns a future plus the resolver that completes it —
-// used by callers that must slot pre-computed replies into an ordered
-// future queue.
-func NewResolvedFuture() (*Future, func(any, error)) {
-	f := &Future{done: make(chan struct{})}
-	return f, func(v any, err error) {
-		f.val, f.err = v, err
-		close(f.done)
-	}
 }
 
 // Pool is a fixed-size worker pool.

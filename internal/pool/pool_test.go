@@ -106,12 +106,3 @@ func TestSizeAndPending(t *testing.T) {
 	}
 	close(release)
 }
-
-func TestNewResolvedFuture(t *testing.T) {
-	f, done := NewResolvedFuture()
-	go done("x", nil)
-	v, err := f.Wait()
-	if err != nil || v.(string) != "x" {
-		t.Fatalf("%v %v", v, err)
-	}
-}

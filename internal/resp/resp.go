@@ -18,6 +18,22 @@ type ErrorReply string
 
 func (e ErrorReply) Error() string { return string(e) }
 
+// Redis's protocol limits on a client command. ReadCommand rejects larger
+// headers before sizing anything from them.
+const (
+	// maxArgs bounds the argument count of one command (the '*' header).
+	maxArgs = 1 << 20
+	// maxBulkLen bounds the length of one argument (a '$' header), in bytes.
+	maxBulkLen = 512 << 20
+)
+
+// Up to these sizes ReadCommand allocates from a header directly; beyond
+// them memory grows only with the arguments and bytes that arrive.
+const (
+	argsPrealloc = 64
+	bulkPrealloc = 64 << 10
+)
+
 // Reader decodes client commands and server replies.
 type Reader struct {
 	br *bufio.Reader
@@ -43,10 +59,10 @@ func (r *Reader) ReadCommand() ([]string, error) {
 		return splitInline(line), nil
 	}
 	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > maxArgs {
 		return nil, fmt.Errorf("resp: bad array header %q", line)
 	}
-	args := make([]string, 0, n)
+	args := make([]string, 0, min(n, argsPrealloc))
 	for i := 0; i < n; i++ {
 		hdr, err := r.readLine()
 		if err != nil {
@@ -56,17 +72,42 @@ func (r *Reader) ReadCommand() ([]string, error) {
 			return nil, fmt.Errorf("resp: expected bulk string, got %q", hdr)
 		}
 		ln, err := strconv.Atoi(hdr[1:])
-		if err != nil || ln < 0 {
+		if err != nil || ln < 0 || ln > maxBulkLen {
 			return nil, fmt.Errorf("resp: bad bulk length %q", hdr)
 		}
-		buf := make([]byte, ln+2)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+		arg, err := r.readBulk(ln)
+		if err != nil {
 			return nil, err
 		}
-		args = append(args, string(buf[:ln]))
+		args = append(args, arg)
 	}
 	return args, nil
 }
+
+// readBulk reads an n-byte bulk string and its CRLF terminator. A string
+// up to bulkPrealloc bytes is read into one allocation; a longer one grows
+// with the bytes that actually arrive, so a length header alone cannot make
+// the server allocate up to maxBulkLen.
+func (r *Reader) readBulk(n int) (string, error) {
+	if n <= bulkPrealloc {
+		buf := make([]byte, n+2)
+		if _, err := io.ReadFull(r.br, buf); err != nil {
+			return "", err
+		}
+		return string(buf[:n]), nil
+	}
+	var b strings.Builder
+	b.Grow(bulkPrealloc)
+	if _, err := io.CopyN(&b, r.br, int64(n)+2); err != nil {
+		return "", err
+	}
+	return b.String()[:n], nil
+}
+
+// Buffered returns the number of bytes received but not yet decoded: a
+// server flushes its replies once it is zero, so the replies to a pipeline
+// of commands share one write.
+func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // ReadReply decodes one server reply into Go values: SimpleString, string
 // (bulk), int64, nil, []any, or ErrorReply (returned as error).
@@ -188,14 +229,21 @@ func (w *Writer) WriteCommand(args ...string) error {
 	return w.bw.Flush()
 }
 
-// WriteReply encodes a server reply. Supported payloads: SimpleString,
-// string, []byte, error/ErrorReply, int/int64, nil, []any and []string.
+// WriteReply encodes a server reply and flushes it.
 func (w *Writer) WriteReply(v any) error {
-	if err := w.writeValue(v); err != nil {
+	if err := w.Encode(v); err != nil {
 		return err
 	}
 	return w.bw.Flush()
 }
+
+// Encode buffers a server reply without sending it; Flush sends every
+// buffered reply. Supported payloads: SimpleString, string, []byte,
+// error/ErrorReply, int/int64, nil, []any and []string.
+func (w *Writer) Encode(v any) error { return w.writeValue(v) }
+
+// Flush sends the buffered replies.
+func (w *Writer) Flush() error { return w.bw.Flush() }
 
 func (w *Writer) writeValue(v any) error {
 	switch v := v.(type) {

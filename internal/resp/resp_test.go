@@ -3,6 +3,8 @@ package resp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -128,4 +130,61 @@ func TestMalformedInput(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestReadCommandRejectsHostileLengths(t *testing.T) {
+	for _, in := range []string{
+		"*9223372036854775807\r\n",
+		"*1\r\n$9223372036854775800\r\n",
+		fmt.Sprintf("*%d\r\n", maxArgs+1),
+		fmt.Sprintf("*1\r\n$%d\r\n", maxBulkLen+1),
+		// Within the limits, but the bytes never arrive.
+		fmt.Sprintf("*%d\r\n", maxArgs),
+		fmt.Sprintf("*1\r\n$%d\r\nabc", maxBulkLen),
+	} {
+		if args, err := NewReader(strings.NewReader(in)).ReadCommand(); err == nil {
+			t.Errorf("%.40q: want error, got %d args", in, len(args))
+		}
+	}
+}
+
+func TestReadCommandLongArgument(t *testing.T) {
+	long := strings.Repeat("0123456789", bulkPrealloc/5)
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteCommand("SET", "k", long); err != nil {
+		t.Fatal(err)
+	}
+	args, err := NewReader(&buf).ReadCommand()
+	if err != nil || len(args) != 3 || args[2] != long {
+		t.Fatalf("%d args, err %v", len(args), err)
+	}
+}
+
+// FuzzReadCommand checks the command decoder two ways: arbitrary bytes
+// decode to arguments or an error and never panic, and a command encoded
+// by WriteCommand decodes to exactly its arguments. The round-trip
+// arguments are the input split at NUL bytes.
+func FuzzReadCommand(f *testing.F) {
+	f.Add([]byte("*2\r\n$4\r\nECHO\r\n$2\r\nhi\r\n"))
+	f.Add([]byte("GRAPH.QUERY g \"MATCH (n) RETURN n\"\r\n"))
+	f.Add([]byte("*9223372036854775807\r\n"))
+	f.Add([]byte("*1\r\n$9223372036854775800\r\n"))
+	f.Add([]byte("*1\r\n$70000\r\nxyz"))
+	f.Add([]byte("GRAPH.QUERY\x00g\x00CREATE (:N {s: 'a\r\nb'})"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		NewReader(bytes.NewReader(data)).ReadCommand()
+
+		args := strings.Split(string(data), "\x00")
+		var buf bytes.Buffer
+		if err := NewWriter(&buf).WriteCommand(args...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewReader(&buf).ReadCommand()
+		if err != nil {
+			t.Fatalf("round trip of %q: %v", args, err)
+		}
+		if !slices.Equal(got, args) {
+			t.Fatalf("round trip: got %q, want %q", got, args)
+		}
+	})
 }

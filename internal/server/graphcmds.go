@@ -65,7 +65,7 @@ var configParams = []string{"THREAD_COUNT", "TIMEOUT", "MAX_QUERY_THREADS", "TRA
 func (s *Server) configValue(name string) any {
 	switch name {
 	case "THREAD_COUNT":
-		return int64(s.pool.Size())
+		return int64(cap(s.sem))
 	case "TIMEOUT":
 		return s.opts.QueryTimeout.Milliseconds()
 	case "MAX_QUERY_THREADS":
@@ -120,7 +120,8 @@ func parseBoolParam(v string) (bool, error) {
 	return false, fmt.Errorf("invalid boolean %q", v)
 }
 
-// graphCommand executes one GRAPH.* module command on a threadpool worker.
+// graphCommand executes one GRAPH.* module command on the calling
+// connection goroutine, which holds a THREAD_COUNT slot.
 func (s *Server) graphCommand(cmd string, args []string) (any, error) {
 	switch cmd {
 	case "GRAPH.QUERY", "GRAPH.RO_QUERY":

@@ -1,10 +1,13 @@
 // Package server implements the Redis-like server hosting the graph module.
 //
-// Architecture (paper Section II): a single dispatcher goroutine — the
-// "Redis main thread" — receives every command. Keyspace commands execute
-// inline on that thread. GRAPH.* commands are handed to the module
-// threadpool, where each query runs on exactly one worker; per-connection
-// reply order is preserved by an ordered future queue per connection.
+// Each connection is served by one goroutine that reads a command,
+// executes it and encodes its reply, so a connection's commands run in the
+// order sent, as in Redis. Replies are flushed once no further pipelined
+// command is buffered, so the replies to a pipeline share one write.
+// Keyspace commands synchronise on the server's mutexes. GRAPH.* commands
+// hold one of THREAD_COUNT slots while they run — the paper's module
+// threadpool (Section II) bounds concurrent queries the same way — and a
+// panic in one fails only that command.
 package server
 
 import (
@@ -25,7 +28,8 @@ import (
 // Options configures the server.
 type Options struct {
 	Addr string
-	// ThreadCount is the module threadpool size (paper: configured at
+	// ThreadCount bounds how many GRAPH.* commands execute at once
+	// (THREAD_COUNT; the paper's module threadpool size, configured at
 	// module load time). Defaults to 8.
 	ThreadCount int
 	// OpThreads bounds intra-query parallelism: morselised GraphBLAS
@@ -97,7 +101,9 @@ type Options struct {
 type Server struct {
 	opts Options
 	ln   net.Listener
-	pool *pool.Pool
+	// sem holds one slot per executing GRAPH.* command; its capacity is
+	// THREAD_COUNT.
+	sem chan struct{}
 
 	// opThreads is the live MAX_QUERY_THREADS value (seeded from
 	// Options.OpThreads, mutable via GRAPH.CONFIG SET).
@@ -137,23 +143,15 @@ type Server struct {
 	mu       sync.RWMutex
 	graphs   map[string]*graph.Graph
 	keyspace map[string]string
+	// saveMu serialises SaveSnapshot: every save writes the one temp file.
+	saveMu sync.Mutex
 
-	dispatch chan *request
-	quit     chan struct{}
-	wg       sync.WaitGroup
-}
-
-type request struct {
-	args  []string
-	conn  *connState
-	reply *pool.Future
-}
-
-type connState struct {
-	c       net.Conn
-	w       *resp.Writer
-	replies chan *pool.Future
-	closed  chan struct{}
+	quit chan struct{}
+	// wg counts the accept loop and every connection goroutine.
+	wg sync.WaitGroup
+	// connMu guards conns, the open client connections Close shuts.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 }
 
 // New creates a server (not yet listening).
@@ -169,11 +167,11 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:     opts,
-		pool:     pool.New(opts.ThreadCount),
+		sem:      make(chan struct{}, opts.ThreadCount),
 		graphs:   map[string]*graph.Graph{},
 		keyspace: map[string]string{},
-		dispatch: make(chan *request, 1024),
 		quit:     make(chan struct{}),
+		conns:    map[net.Conn]struct{}{},
 	}
 	s.opThreads.Store(int32(opts.OpThreads))
 	s.traverseBatch.Store(int32(opts.TraverseBatch))
@@ -242,20 +240,24 @@ func (s *Server) Start() error {
 		return err
 	}
 	s.ln = ln
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.dispatchLoop()
 	return nil
 }
 
-// Close stops the server and waits for shutdown.
+// Close stops accepting, closes every client connection and waits for the
+// commands still executing to finish.
 func (s *Server) Close() {
 	close(s.quit)
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	s.connMu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.connMu.Unlock()
 	s.wg.Wait()
-	s.pool.Close()
 }
 
 func (s *Server) acceptLoop() {
@@ -270,24 +272,42 @@ func (s *Server) acceptLoop() {
 				continue
 			}
 		}
-		cs := &connState{
-			c:       c,
-			w:       resp.NewWriter(c),
-			replies: make(chan *pool.Future, 1024),
-			closed:  make(chan struct{}),
+		if !s.trackConn(c) {
+			c.Close()
+			return
 		}
-		go s.readLoop(cs)
-		go s.writeLoop(cs)
+		go s.serveConn(c)
 	}
 }
 
-// readLoop parses commands and forwards them to the dispatcher.
-func (s *Server) readLoop(cs *connState) {
+// trackConn registers c for Close to shut, refusing it once Close has
+// begun.
+func (s *Server) trackConn(c net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	select {
+	case <-s.quit:
+		return false
+	default:
+	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+// serveConn reads, executes and replies to c's commands in the order sent.
+// It flushes only when no further command is buffered, so the replies to
+// a pipeline share one write.
+func (s *Server) serveConn(c net.Conn) {
 	defer func() {
-		close(cs.closed)
-		cs.c.Close()
+		s.connMu.Lock()
+		delete(s.conns, c)
+		s.connMu.Unlock()
+		c.Close()
+		s.wg.Done()
 	}()
-	r := resp.NewReader(cs.c)
+	r := resp.NewReader(c)
+	w := resp.NewWriter(c)
 	for {
 		args, err := r.ReadCommand()
 		if err != nil {
@@ -296,89 +316,40 @@ func (s *Server) readLoop(cs *connState) {
 		if len(args) == 0 {
 			continue
 		}
-		if strings.ToUpper(args[0]) == "QUIT" {
-			f := immediateReply(resp.SimpleString("OK"))
-			cs.replies <- f
+		cmd := strings.ToUpper(args[0])
+		if cmd == "QUIT" {
+			w.WriteReply(resp.SimpleString("OK"))
 			return
 		}
-		req := &request{args: args, conn: cs}
-		select {
-		case s.dispatch <- req:
-		case <-s.quit:
+		v, err := s.execute(cmd, args[1:])
+		if err != nil {
+			v = err
+		}
+		if err := w.Encode(v); err != nil {
 			return
 		}
-	}
-}
-
-// writeLoop delivers replies in submission order.
-func (s *Server) writeLoop(cs *connState) {
-	for {
-		select {
-		case f := <-cs.replies:
-			v, err := f.Wait()
-			if err != nil {
-				v = err
-			}
-			if werr := cs.w.WriteReply(v); werr != nil {
+		if r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
 				return
 			}
-		case <-cs.closed:
-			// Drain anything already queued, then stop.
-			for {
-				select {
-				case f := <-cs.replies:
-					v, err := f.Wait()
-					if err != nil {
-						v = err
-					}
-					cs.w.WriteReply(v)
-				default:
-					return
-				}
-			}
-		case <-s.quit:
-			return
 		}
 	}
 }
 
-func immediateReply(v any) *pool.Future {
-	f, done := pool.NewResolvedFuture()
-	done(v, nil)
-	return f
-}
-
-// dispatchLoop is the single "Redis main thread".
-func (s *Server) dispatchLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case req := <-s.dispatch:
-			s.handle(req)
-		case <-s.quit:
-			return
-		}
+// execute runs one command. A GRAPH.* command first waits for a
+// THREAD_COUNT slot, and a panic inside it becomes its error reply.
+func (s *Server) execute(cmd string, args []string) (v any, err error) {
+	if !strings.HasPrefix(cmd, "GRAPH.") {
+		return s.keyspaceCommand(cmd, args)
 	}
-}
-
-func (s *Server) handle(req *request) {
-	cmd := strings.ToUpper(req.args[0])
-	if strings.HasPrefix(cmd, "GRAPH.") {
-		// Module command: runs on one threadpool worker.
-		f, err := s.pool.Submit(func() (any, error) {
-			return s.graphCommand(cmd, req.args[1:])
-		})
-		if err != nil {
-			f = immediateReply(fmt.Errorf("ERR %v", err))
+	s.sem <- struct{}{}
+	defer func() {
+		<-s.sem
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("%s panic: %v", strings.ToLower(cmd), r)
 		}
-		req.conn.replies <- f
-		return
-	}
-	// Keyspace command: executes inline on the dispatcher thread.
-	v, err := s.keyspaceCommand(cmd, req.args[1:])
-	f, done := pool.NewResolvedFuture()
-	done(v, err)
-	req.conn.replies <- f
+	}()
+	return s.graphCommand(cmd, args)
 }
 
 // Graph returns (creating on demand) the named graph.
@@ -525,7 +496,7 @@ func (s *Server) info() string {
 	defer s.mu.RUnlock()
 	var b strings.Builder
 	b.WriteString("# Server\r\nredisgraph_module:go-reproduction\r\n")
-	fmt.Fprintf(&b, "threadpool_size:%d\r\n", s.pool.Size())
+	fmt.Fprintf(&b, "threadpool_size:%d\r\n", cap(s.sem))
 	fmt.Fprintf(&b, "graphs:%d\r\nkeys:%d\r\n", len(s.graphs), len(s.keyspace))
 	ps := pool.ReadStats()
 	gs := s.gate.Snapshot()

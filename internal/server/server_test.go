@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +196,82 @@ func TestConcurrentClientsOrderedReplies(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPipelinedReadYourWrites sends a write and a read in one write on one
+// connection, before reading either reply: a connection's commands run in
+// the order sent, so every read sees the write pipelined before it.
+func TestPipelinedReadYourWrites(t *testing.T) {
+	s, _ := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := resp.NewReader(conn)
+	send := func(cmds ...[]string) {
+		t.Helper()
+		var frames bytes.Buffer
+		w := resp.NewWriter(&frames)
+		for _, args := range cmds {
+			if err := w.WriteCommand(args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := conn.Write(frames.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 200; i++ {
+		send([]string{"GRAPH.QUERY", "g", "CREATE (:N)"},
+			[]string{"GRAPH.RO_QUERY", "g", "MATCH (a:N) RETURN count(a)"})
+		if _, err := r.ReadReply(); err != nil {
+			t.Fatalf("iteration %d: write: %v", i, err)
+		}
+		rep, err := r.ReadReply()
+		if err != nil {
+			t.Fatalf("iteration %d: read: %v", i, err)
+		}
+		if got := scalarRow(t, rep); got != int64(i) {
+			t.Fatalf("iteration %d: count = %d, the read missed the write before it", i, got)
+		}
+	}
+	// QUIT pipelined behind a command: both replies arrive, then the
+	// server closes the connection.
+	send([]string{"PING"}, []string{"QUIT"})
+	for _, want := range []resp.SimpleString{"PONG", "OK"} {
+		if v, err := r.ReadReply(); err != nil || v != want {
+			t.Fatalf("want %q, got %v %v", want, v, err)
+		}
+	}
+	if v, err := r.ReadReply(); err != io.EOF {
+		t.Fatalf("after QUIT: want EOF, got %v %v", v, err)
+	}
+}
+
+// TestGraphCommandPanicIsErrorReply plants a nil graph so GRAPH.QUERY
+// panics: each panic must come back as that command's error reply and
+// release its THREAD_COUNT slot, leaving the connection usable.
+func TestGraphCommandPanicIsErrorReply(t *testing.T) {
+	s, c := startServer(t)
+	s.mu.Lock()
+	s.graphs["broken"] = nil
+	s.mu.Unlock()
+	for i := 0; i <= cap(s.sem); i++ {
+		if _, err := c.Query("broken", `MATCH (n) RETURN count(n)`); err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("query %d on a nil graph: want a panic error, got %v", i, err)
+		}
+	}
+	if _, err := c.Query("g", `CREATE (:N)`); err != nil {
+		t.Fatalf("after the panics: %v", err)
+	}
+	rep, err := c.Query("g", `MATCH (n:N) RETURN count(n)`)
+	if err != nil {
+		t.Fatalf("after the panics: %v", err)
+	}
+	if got := scalarRow(t, rep); got != 1 {
+		t.Fatalf("after the panics: count = %d, want 1", got)
+	}
 }
 
 func TestGraphConfig(t *testing.T) {

@@ -20,6 +20,8 @@ func (s *Server) SaveSnapshot() error {
 	if s.opts.SnapshotPath == "" {
 		return fmt.Errorf("ERR no snapshot path configured")
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	tmp := s.opts.SnapshotPath + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {

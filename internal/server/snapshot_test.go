@@ -2,6 +2,7 @@ package server
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"redisgraph/internal/client"
@@ -64,5 +65,76 @@ func TestSaveWithoutPathErrors(t *testing.T) {
 	_, c := startServer(t) // no SnapshotPath
 	if _, err := c.Do("SAVE"); err == nil {
 		t.Fatal("want error without snapshot path")
+	}
+}
+
+// TestConcurrentSave runs SAVE from two connections at once. Every save
+// shares one temp file, so the server must serialise them: each must reply
+// +OK, and the snapshot left behind must load the whole graph.
+func TestConcurrentSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dump.rgsnap")
+	counts := func(c *client.Client) (nodes, edges int64) {
+		t.Helper()
+		rep, err := c.Do("GRAPH.RO_QUERY", "g", `MATCH (a:N) RETURN count(a)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = scalarRow(t, rep)
+		rep, err = c.Do("GRAPH.RO_QUERY", "g", `MATCH (:N)-[e:R]->(:N) RETURN count(e)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nodes, scalarRow(t, rep)
+	}
+
+	s1 := New(Options{Addr: "127.0.0.1:0", ThreadCount: 2, SnapshotPath: path})
+	if err := s1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	c1, err := client.Dial(s1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	seedRing(t, c1, 64)
+	wantNodes, wantEdges := counts(c1)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := client.Dial(s1.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for j := 0; j < 20; j++ {
+				if v, err := c.Do("SAVE"); err != nil || v != resp.SimpleString("OK") {
+					t.Errorf("SAVE %d: %v %v", j, v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	s2 := New(Options{Addr: "127.0.0.1:0", ThreadCount: 2, SnapshotPath: path})
+	if err := s2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	c2, err := client.Dial(s2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if nodes, edges := counts(c2); nodes != wantNodes || edges != wantEdges {
+		t.Fatalf("reloaded %d nodes, %d edges; saved %d, %d", nodes, edges, wantNodes, wantEdges)
 	}
 }

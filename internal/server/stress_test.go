@@ -208,10 +208,15 @@ func TestStressAdmissionSaturation(t *testing.T) {
 		slowErr <- err
 	}()
 
+	// Wait until the slow query holds the one slot, so no probe can take it
+	// first and turn the slow query away.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.gate.Snapshot().Inflight != 1 && !slowDone.Load() && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	// Probe until the slot is observably held: with limit 1 and a zero
 	// queue deadline, a probe overlapping the slow query must get -BUSY.
 	sawBusy := false
-	deadline := time.Now().Add(10 * time.Second)
 	for !sawBusy && time.Now().Before(deadline) && !slowDone.Load() {
 		_, err := c.Do("GRAPH.RO_QUERY", "g", `MATCH (a:N) RETURN count(a)`)
 		if err != nil {
