@@ -101,6 +101,11 @@ func (k *kernelStats) note(pull bool) {
 	}
 }
 
+func (k *kernelStats) add(o *kernelStats) {
+	k.push += o.push
+	k.pull += o.pull
+}
+
 // describe renders the recorded decisions for PROFILE ("" before execution,
 // so EXPLAIN output is unchanged).
 func (k *kernelStats) describe() string {

@@ -378,10 +378,20 @@ func TestExplainShowsAlgebraicExpression(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"Aggregate", "VarLenTraverse", "KNOWS", "[1..2]"} {
+	for _, want := range []string{"VarLenTraverseCount", "VarLenTraverse", "KNOWS", "[1..2]"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("EXPLAIN missing %q:\n%s", want, joined)
 		}
+	}
+	// A second aggregate keeps the materialising plan: Aggregate directly
+	// above the plain VarLenTraverse.
+	lines, err = Explain(g, `MATCH (a:Person {name:'alice'})-[:KNOWS*1..2]->(n) RETURN count(n), max(n.age)`, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) < 2 || !strings.HasPrefix(strings.TrimSpace(lines[0]), "Aggregate") ||
+		!strings.HasPrefix(strings.TrimSpace(lines[1]), "VarLenTraverse |") {
+		t.Fatalf("count(n), max(n.age) must plan Aggregate above VarLenTraverse:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
@@ -453,5 +463,40 @@ func TestLabelsFunction(t *testing.T) {
 	arr := rs.Rows[0][0].Array()
 	if len(arr) != 1 || arr[0].Str() != "Company" {
 		t.Fatalf("labels: %v", arr)
+	}
+}
+
+// TestCreateThenMatchUnknownLabel: a MATCH after a write may name a label
+// the write creates. The plan must not short-circuit to an empty result
+// that drops the write; the label resolves when the scan runs.
+func TestCreateThenMatchUnknownLabel(t *testing.T) {
+	for _, cfg := range []Config{{}, {NoCostPlanner: true}, {NoPushdown: true}, {PlanCache: NewPlanCache(8)}} {
+		g := graph.New("t")
+		rs, err := Query(g, `CREATE (:N) WITH 1 AS x MATCH (n:N) RETURN count(n)`, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := singleInt(t, rs); got != 1 || rs.Stats.NodesCreated != 1 {
+			t.Fatalf("%+v: count = %d, nodes created = %d, want 1 and 1", cfg, got, rs.Stats.NodesCreated)
+		}
+		// A second label after a known one resolves at run time too.
+		rs, err = Query(g, `CREATE (:N:Q) WITH 1 AS x MATCH (n:N:Q) RETURN count(n)`, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := singleInt(t, rs); got != 1 {
+			t.Fatalf("%+v: (n:N:Q) count = %d, want 1", cfg, got)
+		}
+		// An unknown relation type still yields no rows, but the write runs.
+		rs, err = Query(g, `CREATE (:Z) WITH 1 AS x MATCH (n:N)-[:R]->(m) RETURN count(m)`, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := singleInt(t, rs); got != 0 || rs.Stats.NodesCreated != 1 {
+			t.Fatalf("%+v: count = %d, nodes created = %d, want 0 and 1", cfg, got, rs.Stats.NodesCreated)
+		}
+		if got := singleInt(t, q(t, g, `MATCH (n:Z) RETURN count(n)`)); got != 1 {
+			t.Fatalf("%+v: the CREATE before an empty pattern did not run", cfg)
+		}
 	}
 }

@@ -460,7 +460,13 @@ func (b *planBuilder) bestEntry(n *patternNode) entryScan {
 	for _, l := range m.Labels {
 		lid, ok := b.g.Schema.LabelID(l)
 		if !ok {
-			return entryScan{node: n, empty: true}
+			if b.readonly {
+				return entryScan{node: n, empty: true}
+			}
+			// After a write the label may exist by the time the scan runs
+			// (labelScanOp resolves it then); planning sees it empty.
+			es.scanLabel, minCount = l, 0
+			continue
 		}
 		if c := float64(b.gs.LabelCount(lid)); es.scanLabel == "" || c < minCount {
 			es.scanLabel, minCount = l, c
@@ -759,7 +765,7 @@ func (b *planBuilder) emitNodeScan(es entryScan) error {
 	slot := b.st.add(name)
 	width := b.st.size()
 	if es.empty {
-		b.setCur(&emptyOp{}, 0)
+		b.setEmpty()
 		b.bound[name] = true
 		return nil
 	}

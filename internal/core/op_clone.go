@@ -55,7 +55,11 @@ func cloneOpTree(op operation, memo map[operation]operation) operation {
 	case *argumentOp:
 		out = &argumentOp{width: o.width}
 	case *emptyOp:
-		out = &emptyOp{}
+		c, ok := child(o.child)
+		if !ok {
+			return nil
+		}
+		out = &emptyOp{child: c}
 	case *indexOp:
 		out = &indexOp{create: o.create, label: o.label, attr: o.attr}
 	case *allNodeScanOp:
@@ -165,6 +169,12 @@ func cloneOpTree(op operation, memo map[operation]operation) operation {
 			return nil
 		}
 		out = &traverseCountOp{t: t.(*condTraverseOp)}
+	case *varLenCountOp:
+		t := cloneOpTree(o.t, memo)
+		if t == nil {
+			return nil
+		}
+		out = &varLenCountOp{t: t.(*varLenTraverseOp)}
 	case *createOp:
 		c, ok := child(o.child)
 		if !ok {

@@ -28,13 +28,33 @@ func (o *argumentOp) name() string          { return "Argument" }
 func (o *argumentOp) args() string          { return "" }
 func (o *argumentOp) children() []operation { return nil }
 
-// emptyOp produces nothing (scans over labels that do not exist).
-type emptyOp struct{}
+// emptyOp yields no records: the pattern names a label or relation type
+// that does not exist. A child, when set, is the write pipeline planned
+// before the pattern; it is drained first so those writes still happen.
+type emptyOp struct {
+	child   operation
+	drained bool
+}
 
-func (o *emptyOp) nextBatch(*execCtx) (recordBatch, error) { return nil, nil }
-func (o *emptyOp) name() string                            { return "Empty" }
-func (o *emptyOp) args() string                            { return "" }
-func (o *emptyOp) children() []operation                   { return nil }
+func (o *emptyOp) nextBatch(ctx *execCtx) (recordBatch, error) {
+	for o.child != nil && !o.drained {
+		b, err := o.child.nextBatch(ctx)
+		if err != nil {
+			return nil, err
+		}
+		o.drained = b == nil
+	}
+	return nil, nil
+}
+func (o *emptyOp) name() string { return "Empty" }
+func (o *emptyOp) args() string { return "" }
+func (o *emptyOp) children() []operation {
+	if o.child == nil {
+		return nil
+	}
+	return []operation{o.child}
+}
+func (o *emptyOp) setChild(i int, op operation) { o.child = op }
 
 // scanPropEq is one property comparison pushed into a scan: the value
 // expression is record-free (literal or parameter), so it is evaluated once
@@ -354,15 +374,17 @@ func (o *labelScanOp) loadIDs(ctx *execCtx, cf *compiledScanFilter) {
 	if lm == nil {
 		return
 	}
-	rows, _, _ := lm.ExtractTuples()
-	for k, r := range rows {
-		if o.parts > 1 && k%o.parts != o.part {
-			continue
+	// Walk the label diagonal in place; k is the tuple position.
+	k := 0
+	lm.Iterate(func(r, _ grb.Index, _ float64) bool {
+		if o.parts <= 1 || k%o.parts == o.part {
+			if cf.mask == nil || cf.mask(r) {
+				o.ids = append(o.ids, uint64(r))
+			}
 		}
-		if cf.mask == nil || cf.mask(r) {
-			o.ids = append(o.ids, uint64(r))
-		}
-	}
+		k++
+		return true
+	})
 	// Striping happens on tuple positions above, exactly as in the map path,
 	// so each parallel segment filters the same stripe it always scanned.
 	if preds, ok := compileColPreds(ctx, cf.props); ok {

@@ -654,9 +654,11 @@ func (o *traverseCountOp) countVector(ctx *execCtx) (int64, error) {
 	return n, nil
 }
 
-func (o *traverseCountOp) name() string { return "TraverseCount" }
-func (o *traverseCountOp) args() string {
-	return fmt.Sprintf("%s | batched(%d)%s%s%s", o.t.ae.String(), o.t.batch, describeThreads(o.t.kthreads), describeMasks(o.t.masks), o.t.ks.describe())
+func (o *traverseCountOp) name() string          { return "TraverseCount" }
+func (o *traverseCountOp) args() string          { return o.describe(&o.t.ks) }
+func (o *traverseCountOp) kernels() *kernelStats { return &o.t.ks }
+func (o *traverseCountOp) describe(ks *kernelStats) string {
+	return fmt.Sprintf("%s | batched(%d)%s%s%s", o.t.ae.String(), o.t.batch, describeThreads(o.t.kthreads), describeMasks(o.t.masks), ks.describe())
 }
 func (o *traverseCountOp) children() []operation        { return []operation{o.t.child} }
 func (o *traverseCountOp) setChild(i int, op operation) { o.t.child = op }
@@ -723,6 +725,29 @@ func (o *varLenTraverseOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 }
 
 func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
+	return o.bfs(ctx, srcID, func(f *grb.Vector) error {
+		f, err := o.dstFrontier(ctx, f)
+		if err != nil {
+			return err
+		}
+		f.Iterate(func(j grb.Index, _ float64) bool {
+			if n, ok := o.admit(ctx, j); ok {
+				out := in.extended(o.width)
+				out[o.dstSlot] = value.NewNode(uint64(j), n)
+				o.queue = append(o.queue, out)
+			}
+			return true
+		})
+		return nil
+	})
+}
+
+// bfs runs the masked BFS from srcID and hands every frontier whose depth
+// lies in [minHops, maxHops] to visit, the seed itself first when minHops is
+// 0. Each node reaches visit at most once per source: the complemented
+// visited mask keeps every later frontier disjoint from it. The frontier is
+// unfiltered; visit applies the destination checks (dstFrontier, admit).
+func (o *varLenTraverseOp) bfs(ctx *execCtx, srcID uint64, visit func(*grb.Vector) error) error {
 	dim := ctx.g.Dim()
 	frontier := grb.NewVector(dim)
 	if err := frontier.SetElement(int(srcID), 1); err != nil {
@@ -734,7 +759,7 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 		maxH = dim // cannot exceed the diameter
 	}
 	if o.minHops == 0 {
-		if err := o.emitMasked(ctx, in, frontier); err != nil {
+		if err := visit(frontier); err != nil {
 			return err
 		}
 	}
@@ -749,11 +774,13 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 		if next.NVals() == 0 {
 			return nil
 		}
-		if err := grb.EWiseAddVector(reached, nil, nil, grb.LOr, reached, next, nil); err != nil {
+		// In place: the visited set flips to bitmap form once dense, so
+		// the next hop's complemented mask probes are O(1).
+		if err := reached.UnionInPlace(next); err != nil {
 			return err
 		}
 		if hop >= o.minHops {
-			if err := o.emitMasked(ctx, in, next); err != nil {
+			if err := visit(next); err != nil {
 				return err
 			}
 		}
@@ -762,39 +789,32 @@ func (o *varLenTraverseOp) expand(ctx *execCtx, in record, srcID uint64) error {
 	return nil
 }
 
-// emitMasked restricts one in-range frontier to the destination labels —
-// multiplying through the label diagonals, leaving the BFS frontier itself
-// untouched — and queues the surviving nodes.
-func (o *varLenTraverseOp) emitMasked(ctx *execCtx, in record, f *grb.Vector) error {
-	if o.dstAE != nil {
-		masked, err := o.dstAE.eval(ctx, f, nil, nil)
-		if err != nil {
-			return err
-		}
-		f = masked
+// dstFrontier restricts one in-range frontier to the destination labels by
+// multiplying it through the label diagonals, leaving the BFS frontier
+// itself untouched.
+func (o *varLenTraverseOp) dstFrontier(ctx *execCtx, f *grb.Vector) (*grb.Vector, error) {
+	if o.dstAE == nil {
+		return f, nil
 	}
-	o.emitFrontier(ctx, in, f)
-	return nil
+	return o.dstAE.eval(ctx, f, nil, nil)
 }
 
-func (o *varLenTraverseOp) emitFrontier(ctx *execCtx, in record, f *grb.Vector) {
-	f.Iterate(func(j grb.Index, _ float64) bool {
-		n, ok := ctx.g.GetNode(uint64(j))
-		if !ok {
-			return true
-		}
-		if o.dstLabel >= 0 && !nodeHasLabel(n, o.dstLabel) {
-			return true
-		}
-		out := in.extended(o.width)
-		out[o.dstSlot] = value.NewNode(uint64(j), n)
-		o.queue = append(o.queue, out)
-		return true
-	})
+// admit resolves one reached node, applying the NoPushdown per-node label
+// check.
+func (o *varLenTraverseOp) admit(ctx *execCtx, j grb.Index) (*graph.Node, bool) {
+	n, ok := ctx.g.GetNode(uint64(j))
+	if !ok || (o.dstLabel >= 0 && !nodeHasLabel(n, o.dstLabel)) {
+		return nil, false
+	}
+	return n, true
 }
 
 func (o *varLenTraverseOp) name() string { return "VarLenTraverse" }
-func (o *varLenTraverseOp) args() string {
+func (o *varLenTraverseOp) args() string { return o.describe(&o.ks) }
+
+// describe renders the expansion for EXPLAIN/PROFILE with the given kernel
+// decisions (a parallel count sums them over its segments).
+func (o *varLenTraverseOp) describe(ks *kernelStats) string {
 	hi := "∞"
 	if o.maxHops >= 0 {
 		hi = fmt.Sprint(o.maxHops)
@@ -803,10 +823,70 @@ func (o *varLenTraverseOp) args() string {
 	if o.dstAE != nil {
 		s += " | dst mask: " + o.dstAE.String()
 	}
-	return s + o.ks.describe()
+	return s + ks.describe()
 }
 func (o *varLenTraverseOp) children() []operation        { return []operation{o.child} }
 func (o *varLenTraverseOp) setChild(i int, op operation) { o.child = op }
+
+// varLenCountOp is the count pushdown for `RETURN count(dst)` directly
+// above a variable-length traversal: every in-range BFS frontier is reduced
+// to its cardinality as the expansion produces it, so no reached node ever
+// becomes a record — the paper's k-hop count as a reduction over GraphBLAS
+// frontiers. The destination checks are the traversal's own (label
+// diagonals or the NoPushdown per-node check, then node existence), and
+// each input record's count is summed into the single output row.
+type varLenCountOp struct {
+	t    *varLenTraverseOp
+	done bool
+}
+
+func (o *varLenCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
+	if o.done {
+		return nil, nil
+	}
+	o.done = true
+	t := o.t
+	var total int64
+	count := func(f *grb.Vector) error {
+		f, err := t.dstFrontier(ctx, f)
+		if err != nil {
+			return err
+		}
+		f.Iterate(func(j grb.Index, _ float64) bool {
+			if _, ok := t.admit(ctx, j); ok {
+				total++
+			}
+			return true
+		})
+		return nil
+	}
+	for {
+		in, err := t.in.pull(ctx, t.child)
+		if err != nil {
+			return nil, err
+		}
+		if in == nil {
+			break
+		}
+		src := in[t.srcSlot]
+		if src.Kind != value.KindNode {
+			return nil, fmt.Errorf("traverse: %s is not a node", src.Kind)
+		}
+		if err := t.bfs(ctx, src.ID, count); err != nil {
+			return nil, err
+		}
+	}
+	out := newRecord(1)
+	out[0] = value.NewInt(total)
+	return recordBatch{out}, nil
+}
+
+func (o *varLenCountOp) name() string                    { return "VarLenTraverseCount" }
+func (o *varLenCountOp) args() string                    { return o.t.args() }
+func (o *varLenCountOp) kernels() *kernelStats           { return &o.t.ks }
+func (o *varLenCountOp) describe(ks *kernelStats) string { return o.t.describe(ks) }
+func (o *varLenCountOp) children() []operation           { return []operation{o.t.child} }
+func (o *varLenCountOp) setChild(i int, op operation)    { o.t.child = op }
 
 // labelDiagOperand returns the diagonal label matrix operand for filtering
 // traversal destinations.

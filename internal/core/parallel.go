@@ -181,7 +181,7 @@ func parallelizePlan(p *Plan, threads int) {
 			mop = &parallelSortOp{parallelSeg: parallelSeg{segs: segs}, tmpl: orig}
 		case *topNSortOp:
 			mop = &parallelTopNOp{parallelSeg: parallelSeg{segs: segs}, tmpl: orig}
-		case *traverseCountOp:
+		case *traverseCountOp, *varLenCountOp:
 			mop = &parallelCountOp{parallelSeg: parallelSeg{segs: segs}}
 		case *distinctOp:
 			mop = &parallelDistinctOp{parallelSeg: parallelSeg{segs: segs}, visible: orig.visible}
@@ -211,7 +211,7 @@ func parallelizePlan(p *Plan, threads int) {
 // SKIP/LIMIT's global count quotas.
 func isSegBarrier(op operation) bool {
 	switch op.(type) {
-	case *aggregateOp, *sortOp, *topNSortOp, *traverseCountOp, *distinctOp, *skipOp, *limitOp:
+	case *aggregateOp, *sortOp, *topNSortOp, *traverseCountOp, *varLenCountOp, *distinctOp, *skipOp, *limitOp:
 		return true
 	}
 	return false
@@ -521,9 +521,10 @@ func (o *parallelTopNOp) args() string {
 func (o *parallelTopNOp) children() []operation        { return o.segs[0].children() }
 func (o *parallelTopNOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
 
-// parallelCountOp replaces a traverseCountOp barrier: segments count their
-// partitions' reachable destinations concurrently and the coordinator sums
-// the per-segment totals into the single output record.
+// parallelCountOp replaces a count-pushdown barrier (traverseCountOp or
+// varLenCountOp): segments count their partitions' reachable destinations
+// concurrently and the coordinator sums the per-segment totals into the
+// single output record.
 type parallelCountOp struct {
 	parallelSeg
 	done bool
@@ -557,8 +558,23 @@ func (o *parallelCountOp) nextBatch(ctx *execCtx) (recordBatch, error) {
 	return recordBatch{r}, nil
 }
 
-func (o *parallelCountOp) name() string                 { return "ParallelTraverseCount" }
-func (o *parallelCountOp) args() string                 { return o.describeParallel() }
+// countPushdown is a count-pushdown operation parallelCountOp merges.
+type countPushdown interface {
+	kernels() *kernelStats
+	describe(ks *kernelStats) string
+}
+
+func (o *parallelCountOp) name() string { return "ParallelTraverseCount" }
+
+// args shows the counted traversal as the serial operation would, with the
+// kernel decisions of every segment summed.
+func (o *parallelCountOp) args() string {
+	var ks kernelStats
+	for _, seg := range o.segs {
+		ks.add(seg.(countPushdown).kernels())
+	}
+	return o.segs[0].(countPushdown).describe(&ks) + " | " + o.describeParallel()
+}
 func (o *parallelCountOp) children() []operation        { return o.segs[0].children() }
 func (o *parallelCountOp) setChild(i int, op operation) { o.segs[0].(childSetter).setChild(i, op) }
 
@@ -661,6 +677,10 @@ func (o *topNSortOp) cloneSeg() operation {
 
 func (o *traverseCountOp) cloneSeg() operation {
 	return &traverseCountOp{t: o.t.cloneSeg().(*condTraverseOp)}
+}
+
+func (o *varLenCountOp) cloneSeg() operation {
+	return &varLenCountOp{t: o.t.cloneSeg().(*varLenTraverseOp)}
 }
 
 func (o *distinctOp) cloneSeg() operation {

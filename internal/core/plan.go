@@ -85,6 +85,17 @@ type planBuilder struct {
 	visible    int
 }
 
+// setEmpty makes the pipeline yield nothing because the pattern names a
+// label or relation type that does not exist. Writes planned before the
+// pattern keep running: the empty operation drains them first.
+func (b *planBuilder) setEmpty() {
+	op := &emptyOp{}
+	if !b.readonly {
+		op.child = b.cur
+	}
+	b.setCur(op, 0)
+}
+
 // setCur installs op as the pipeline head and records its estimated output
 // cardinality for EXPLAIN/PROFILE.
 func (b *planBuilder) setCur(op operation, rows float64) {
@@ -477,13 +488,19 @@ func (b *planBuilder) buildPattern(pat *cypher.PathPattern, optional bool) error
 				label: startNode.Labels[0], attr: usedIndexAttr, val: fn, width: width}, b.rowEst)
 		case len(startNode.Labels) > 0:
 			lid, ok := b.g.Schema.LabelID(startNode.Labels[0])
-			if !ok {
-				b.setCur(&emptyOp{}, 0)
+			if !ok && b.readonly {
+				b.setEmpty()
 				b.bound[names[start]] = true
 				return nil
 			}
+			// After a write the label may exist by the time the scan runs:
+			// the scan resolves it then.
+			rows := 0.0
+			if ok {
+				rows = b.rowEst * float64(b.gs.LabelCount(lid))
+			}
 			b.setCur(&labelScanOp{child: b.cur, slot: slot, alias: names[start],
-				label: startNode.Labels[0], width: width}, b.rowEst*float64(b.gs.LabelCount(lid)))
+				label: startNode.Labels[0], width: width}, rows)
 		default:
 			b.setCur(&allNodeScanOp{child: b.cur, slot: slot, alias: names[start], width: width},
 				b.rowEst*float64(b.gs.Nodes))
@@ -522,22 +539,33 @@ func (b *planBuilder) addNodeResiduals(varName string, n *cypher.NodePattern, sk
 	slot, _ := b.st.lookup(varName)
 	for _, lbl := range n.Labels[min(skipLabels, len(n.Labels)):] {
 		lid, ok := b.g.Schema.LabelID(lbl)
-		if !ok {
-			b.setCur(&emptyOp{}, 0)
+		if !ok && b.readonly {
+			b.setEmpty()
 			return nil
 		}
-		if b.pushLabel(varName, lid, lbl) {
+		if ok && b.pushLabel(varName, lid, lbl) {
 			continue
 		}
-		want := lid
+		// A label unknown at plan time (possible only after a write) is
+		// resolved when the filter runs.
+		sel := 0.0
+		if ok {
+			sel = b.gs.LabelSelectivity(lid)
+		}
 		b.setCur(&filterOp{child: b.cur, desc: fmt.Sprintf("%s:%s", varName, lbl),
 			pred: func(ctx *execCtx, r record) (value.Value, error) {
 				v := r[slot]
 				if v.Kind != value.KindNode {
 					return value.NewBool(false), nil
 				}
+				want, known := lid, ok
+				if !known {
+					if want, known = ctx.g.Schema.LabelID(lbl); !known {
+						return value.NewBool(false), nil
+					}
+				}
 				return value.NewBool(nodeHasLabel(v.Entity.(*graph.Node), want)), nil
-			}}, b.rowEst*b.gs.LabelSelectivity(lid))
+			}}, b.rowEst*sel)
 	}
 	for attr, ex := range n.Props {
 		if attr == skipAttr {
@@ -586,7 +614,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 	// registering the pattern's variables, so later clauses referencing the
 	// destination or edge variable (RETURN e, DELETE e) keep resolving.
 	bindEmptyPattern := func() {
-		b.setCur(&emptyOp{}, 0)
+		b.setEmpty()
 		b.st.add(dstVar)
 		b.bound[dstVar] = true
 		if rel.Var != "" && !rel.VarLength {
@@ -711,7 +739,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 				// the rest stay residual filters.
 				lid, ok := b.g.Schema.LabelID(dstNode.Labels[0])
 				if !ok {
-					b.setCur(&emptyOp{}, 0)
+					b.setEmpty()
 					return nil
 				}
 				dstLabel = lid
@@ -728,7 +756,7 @@ func (b *planBuilder) buildHop(srcVar string, dstNode *cypher.NodePattern, dstVa
 				for _, lbl := range labels {
 					diag, ok := labelDiagOperand(b.g, lbl)
 					if !ok {
-						b.setCur(&emptyOp{}, 0)
+						b.setEmpty()
 						return nil
 					}
 					if lid, ok := b.g.Schema.LabelID(lbl); ok {
@@ -1146,10 +1174,11 @@ func (b *planBuilder) buildProjection(items []*cypher.ReturnItem, distinct bool,
 }
 
 // tryCountPushdown recognises `RETURN count(dst)` immediately above a plain
-// traversal binding dst: the count is the total cardinality of the result
-// frontier, so the traversal never needs to materialise output records.
-// count(*) qualifies too (traversal outputs are never null). Edge variables
-// (one record per edge) and OPTIONAL MATCH (null rows) are excluded.
+// or variable-length traversal binding dst: the count is the total
+// cardinality of the result frontiers, so the traversal never needs to
+// materialise output records. count(*) qualifies too (traversal outputs are
+// never null). Edge variables (one record per edge) and OPTIONAL MATCH
+// (null rows) are excluded.
 func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operation,
 	distinct bool, orderBy []*cypher.SortItem) operation {
 
@@ -1160,8 +1189,17 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operati
 	if !ok || fc.Name != "count" || fc.Distinct {
 		return nil
 	}
-	ct, ok := child.(*condTraverseOp)
-	if !ok || ct.edgeSlot >= 0 || ct.optional {
+	var pd operation
+	var dstSlot int
+	switch t := child.(type) {
+	case *condTraverseOp:
+		if t.edgeSlot >= 0 || t.optional {
+			return nil
+		}
+		pd, dstSlot = &traverseCountOp{t: t}, t.dstSlot
+	case *varLenTraverseOp:
+		pd, dstSlot = &varLenCountOp{t: t}, t.dstSlot
+	default:
 		return nil
 	}
 	if !fc.Star {
@@ -1173,11 +1211,11 @@ func (b *planBuilder) tryCountPushdown(items []*cypher.ReturnItem, child operati
 			return nil
 		}
 		slot, ok := b.st.lookup(id.Name)
-		if !ok || slot != ct.dstSlot {
+		if !ok || slot != dstSlot {
 			return nil
 		}
 	}
-	return &traverseCountOp{t: ct}
+	return pd
 }
 
 // buildAggregate compiles the hash-aggregation projection.

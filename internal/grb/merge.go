@@ -11,8 +11,9 @@ package grb
 func mergeVector(w *Vector, mask *Vector, accum *BinaryOp, t *Vector, d *Descriptor) {
 	comp, structure, replace := d.comp(), d.structure(), d.replace()
 	noMask := mask == nil && !comp
-	if noMask && accum == nil {
-		// Unmasked, no accumulator: w is simply replaced by t.
+	if (noMask && accum == nil) || w.NVals() == 0 {
+		// Unmasked with no accumulator, or nothing to merge into (t is
+		// already mask-restricted): w is simply replaced by t.
 		*w = *t
 		return
 	}

@@ -210,6 +210,72 @@ func (v *Vector) Build(indices []Index, values []float64, dup BinaryOp) error {
 	return nil
 }
 
+// UnionInPlace adds every entry of u that v lacks to v, in place: the
+// structural OR of the two patterns without building a merged copy.
+// Indices present in both keep v's value. Once the union crosses the
+// bitmap fill ratio v flips to bitmap form, so later probes of v — a BFS
+// visited set used as a complemented mask — are O(1).
+func (v *Vector) UnionInPlace(u *Vector) error {
+	if u.n != v.n {
+		return dimErr("union: v has size %d, u has size %d", v.n, u.n)
+	}
+	if u.dense {
+		// A bitmap-form u is past the fill ratio, and so is the union.
+		v.toDense()
+	}
+	if v.dense {
+		u.Iterate(func(i Index, x float64) bool {
+			if !v.dbits.get(i) {
+				v.dbits.set(i)
+				v.dval[i] = x
+				v.nnz++
+			}
+			return true
+		})
+		return nil
+	}
+	ui, uv := u.ind, u.val
+	added := 0
+	for a, b := 0, 0; b < len(ui); {
+		switch {
+		case a < len(v.ind) && v.ind[a] < ui[b]:
+			a++
+		case a < len(v.ind) && v.ind[a] == ui[b]:
+			a++
+			b++
+		default:
+			added++
+			b++
+		}
+	}
+	if added == 0 {
+		return nil
+	}
+	if (len(v.ind)+added)*denseThreshold > v.n {
+		v.toDense()
+		return v.UnionInPlace(u)
+	}
+	// Merge backwards into the grown slices so no entry moves twice.
+	a, b := len(v.ind)-1, len(ui)-1
+	v.ind = append(v.ind, make([]Index, added)...)
+	v.val = append(v.val, make([]float64, added)...)
+	for k := len(v.ind) - 1; b >= 0; k-- {
+		switch {
+		case a >= 0 && v.ind[a] > ui[b]:
+			v.ind[k], v.val[k] = v.ind[a], v.val[a]
+			a--
+		case a >= 0 && v.ind[a] == ui[b]:
+			v.ind[k], v.val[k] = v.ind[a], v.val[a]
+			a--
+			b--
+		default:
+			v.ind[k], v.val[k] = ui[b], uv[b]
+			b--
+		}
+	}
+	return nil
+}
+
 // ExtractTuples returns the entries as sorted parallel slices.
 func (v *Vector) ExtractTuples() ([]Index, []float64) {
 	if !v.dense {

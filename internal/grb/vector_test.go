@@ -125,3 +125,35 @@ func TestDenseVectorConstructor(t *testing.T) {
 		t.Fatalf("x=%g", x)
 	}
 }
+
+// TestVectorUnionInPlace checks the in-place structural OR against a map
+// reference across sparse/bitmap operand mixes, including the union that
+// crosses the bitmap fill ratio.
+func TestVectorUnionInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 256
+	for iter := 0; iter < 200; iter++ {
+		v, u := NewVector(n), NewVector(n)
+		want := map[Index]float64{}
+		for k := rng.Intn(n / 4); k > 0; k-- {
+			i := rng.Intn(n)
+			must(t, v.SetElement(i, 2))
+			want[i] = 2
+		}
+		for k := rng.Intn(n / 2); k > 0; k-- {
+			i := rng.Intn(n)
+			must(t, u.SetElement(i, 3))
+			if _, ok := want[i]; !ok {
+				want[i] = 3 // indices in both keep v's value
+			}
+		}
+		must(t, v.UnionInPlace(u))
+		expectVecEq(t, v, want)
+		if dense := len(want)*denseThreshold > n; v.dense != dense {
+			t.Fatalf("iter %d: %d entries, bitmap form = %v", iter, len(want), v.dense)
+		}
+	}
+	if err := NewVector(3).UnionInPlace(NewVector(4)); err == nil {
+		t.Fatal("size mismatch accepted")
+	}
+}

@@ -326,6 +326,11 @@ type morselJob struct {
 	remaining atomic.Int32 // morsels not yet completed
 	done      chan struct{}
 	offers    int // unclaimed worker offers; guarded by sched.mu
+
+	// panicked holds the first panic value a morsel raised; ParallelCtx
+	// re-raises it on the caller once every morsel has finished.
+	panicOnce sync.Once
+	panicked  any
 }
 
 // morselDeque holds one participant's share of a job's morsel indices. The
@@ -376,7 +381,7 @@ func (j *morselJob) run(slot int, worker bool) int {
 		if !ok {
 			break
 		}
-		j.fn(i)
+		j.runMorsel(i)
 		ran++
 		if j.remaining.Add(-1) == 0 {
 			close(j.done)
@@ -392,6 +397,18 @@ func (j *morselJob) run(slot int, worker bool) int {
 		}
 	}
 	return ran
+}
+
+// runMorsel runs one morsel, recording instead of propagating a panic: on
+// a pool worker an unrecovered panic would kill the process, and the
+// morsel must still count as done so the job's latch closes.
+func (j *morselJob) runMorsel(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicOnce.Do(func() { j.panicked = r })
+		}
+	}()
+	j.fn(i)
 }
 
 // Parallel runs fn(i) for every i in [0, n) under the process-wide
@@ -410,7 +427,9 @@ func Parallel(parallelism, n int, fn func(i int)) {
 // (or a single morsel) every call runs inline on the caller — the
 // zero-overhead path for per-query thread counts of 1. The done-latch close
 // orders every fn's writes before ParallelCtx returns, so callers may read
-// per-morsel results without further synchronisation.
+// per-morsel results without further synchronisation. A panic in fn fails
+// only this call: the other morsels still run, and the first panic value is
+// re-raised on the caller once they have.
 func ParallelCtx(sc *SchedCtx, parallelism, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -485,4 +504,7 @@ func ParallelCtx(sc *SchedCtx, parallelism, n int, fn func(i int)) {
 		}
 	}
 	sched.mu.Unlock()
+	if j.panicked != nil {
+		panic(j.panicked)
+	}
 }

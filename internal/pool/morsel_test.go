@@ -94,3 +94,40 @@ func TestParallelismFloor(t *testing.T) {
 		t.Fatalf("Parallelism() = %d, want >= 4", p)
 	}
 }
+
+// TestParallelMorselPanicOnWorker panics inside morsels that can only run on
+// pool workers (the caller is held in its own morsel until one has
+// panicked). The panic must surface on the caller after every morsel ran,
+// and the pool must then run a fresh job correctly.
+func TestParallelMorselPanicOnWorker(t *testing.T) {
+	const n = 4
+	var ran atomic.Int32
+	panicked := make(chan struct{})
+	var once sync.Once
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Parallel(n, n, func(i int) {
+			defer ran.Add(1)
+			if i == 0 {
+				<-panicked // the caller's own morsel: wait for a worker's panic
+				return
+			}
+			defer once.Do(func() { close(panicked) })
+			panic("morsel boom")
+		})
+		return nil
+	}()
+	if got != "morsel boom" {
+		t.Fatalf("caller recovered %v, want the morsel's panic value", got)
+	}
+	if r := ran.Load(); r != n {
+		t.Fatalf("%d of %d morsels ran before the panic surfaced", r, n)
+	}
+	counts := make([]int32, 100)
+	Parallel(n, len(counts), func(i int) { atomic.AddInt32(&counts[i], 1) })
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("after the panic: index %d ran %d times", i, c)
+		}
+	}
+}

@@ -12,8 +12,10 @@ import (
 
 	"redisgraph/internal/client"
 	"redisgraph/internal/core"
+	"redisgraph/internal/graph"
 	"redisgraph/internal/pool"
 	"redisgraph/internal/resp"
+	"redisgraph/internal/value"
 )
 
 func startServer(t *testing.T) (*Server, *client.Client) {
@@ -498,5 +500,62 @@ func TestGraphConfigTraverseBatch(t *testing.T) {
 		if _, err := c.Do("GRAPH.CONFIG", "SET", "TRAVERSE_BATCH", bad); err == nil {
 			t.Fatalf("SET TRAVERSE_BATCH %s must fail", bad)
 		}
+	}
+}
+
+// TestParallelSegmentPanicIsErrorReply makes every pipeline segment of a
+// MAX_QUERY_THREADS 4 query panic inside its morsel (an edge property holds
+// an edge value with no entity, which the property access dereferences).
+// Morsels on pool workers used to crash the process; now the query gets an
+// error reply and the connection stays usable.
+func TestParallelSegmentPanicIsErrorReply(t *testing.T) {
+	s, c := startServer(t)
+	if _, err := c.Do("GRAPH.CONFIG", "SET", "MAX_QUERY_THREADS", "4"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query("g", `UNWIND range(1, 256) AS i CREATE (:N {i: i})-[:R {p: i}]->(:N)`); err != nil {
+		t.Fatal(err)
+	}
+	g := s.Graph("g")
+	g.Lock()
+	aid, _ := g.Schema.AttrID("p")
+	g.ForEachEdge(func(e *graph.Edge) bool {
+		e.Props[aid] = value.Value{Kind: value.KindEdge}
+		return true
+	})
+	g.Unlock()
+	query := `MATCH (a:N)-[e:R]->(b) RETURN e.p.x`
+	lines, err := c.Do("GRAPH.EXPLAIN", "g", query)
+	if err != nil || !strings.Contains(fmt.Sprint(lines), "Parallel") {
+		t.Fatalf("the query must run as parallel segments: %v %v", lines, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Query("g", query); err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("run %d: want a panic error reply, got %v", i, err)
+		}
+	}
+	rep, err := c.Query("g", `MATCH (a:N)-[:R]->(b) RETURN count(b)`)
+	if err != nil {
+		t.Fatalf("after the panics: %v", err)
+	}
+	if got := scalarRow(t, rep); got != 256 {
+		t.Fatalf("after the panics: count = %d, want 256", got)
+	}
+}
+
+// TestCreateThenMatchNewLabelOverRESP: a MATCH after a CREATE in the same
+// query may name the label the CREATE introduces; the node is created and
+// counted.
+func TestCreateThenMatchNewLabelOverRESP(t *testing.T) {
+	_, c := startServer(t)
+	v, err := c.Query("g", `CREATE (:N) WITH 1 AS x MATCH (n:N) RETURN count(n)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scalarRow(t, v); got != 1 {
+		t.Fatalf("count = %d, want 1", got)
+	}
+	if stats := fmt.Sprint(v[2]); !strings.Contains(stats, "Nodes created: 1") {
+		t.Fatalf("stats %s lack \"Nodes created: 1\"", stats)
 	}
 }

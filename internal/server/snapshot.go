@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"redisgraph/internal/persist"
 	"redisgraph/internal/resp"
@@ -32,11 +33,34 @@ func (s *Server) SaveSnapshot() error {
 		os.Remove(tmp)
 		return err
 	}
+	// The bytes must be on disk before the rename can expose them, and the
+	// rename itself is durable only once the directory is synced.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, s.opts.SnapshotPath)
+	if err := os.Rename(tmp, s.opts.SnapshotPath); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(s.opts.SnapshotPath))
+}
+
+// syncDir fsyncs a directory so a rename inside it survives a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Server) writeSnapshot(w io.Writer) error {
